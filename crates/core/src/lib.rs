@@ -77,7 +77,7 @@ pub mod prelude {
     pub use crate::deployment::{Deployment, ResourceAlloc};
     pub use crate::error::Ds2Error;
     pub use crate::graph::{Edge, GraphBuilder, LogicalGraph, OperatorId};
-    pub use crate::manager::{ActivationCombine, ManagerConfig, ScalingManager};
+    pub use crate::manager::{ManagerConfig, ScalingManager};
     pub use crate::opmap::{OpMap, OpSet};
     pub use crate::policy::{
         Ds2Policy, OperatorEstimate, PolicyConfig, PolicyOutput, PolicyWorkspace, SplitHint,

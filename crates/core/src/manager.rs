@@ -22,17 +22,28 @@ use crate::opmap::OpMap;
 use crate::policy::{Ds2Policy, PolicyConfig, PolicyWorkspace};
 use crate::snapshot::MetricsSnapshot;
 
-/// How several consecutive policy decisions are combined before acting
-/// (§4.2.1 "Activation time").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ActivationCombine {
-    /// Per-operator maximum across the pending decisions: robust for
-    /// operators with bursty processing rates such as tumbling windows.
-    Max,
-    /// Per-operator median across the pending decisions: robust to outlier
-    /// intervals.
-    Median,
-}
+/// Slack applied to `target_rate_ratio` comparisons (2%), absorbing
+/// measurement noise.
+const RATIO_TOLERANCE: f64 = 0.02;
+
+/// Fractional degradation of the achieved source-rate ratio after a deploy
+/// that triggers a rollback to the previous configuration (§4.2.2).
+const DEGRADATION_TOLERANCE: f64 = 0.1;
+
+/// Fractional change of the measured offered rate beyond which the
+/// pre/post-deploy ratio comparison is considered meaningless and the
+/// rollback check is skipped (the degradation is explained by the load,
+/// not the deploy).
+const ROLLBACK_LOAD_SHIFT_TOLERANCE: f64 = 0.1;
+
+/// Maximum age, in policy intervals, of the last-good snapshot used for
+/// repairs when `validate_snapshots` is on. Beyond this window a broken
+/// operator stays broken and the policy defers on it instead.
+const MAX_STALE_WINDOWS: u32 = 3;
+
+/// Multiplicative distance from the per-operator median rate beyond which
+/// an instance sample counts as an outlier when `outlier_rejection` is on.
+const OUTLIER_FACTOR: f64 = 3.0;
 
 /// Configuration of the [`ScalingManager`].
 #[derive(Debug, Clone)]
@@ -44,20 +55,16 @@ pub struct ManagerConfig {
     /// Number of consecutive policy intervals ignored after a scaling action
     /// (and at startup), while rate measurements stabilise.
     pub warmup_intervals: u32,
-    /// Number of consecutive policy decisions combined before a scaling
-    /// command is issued. `1` applies each decision immediately.
+    /// Number of consecutive policy decisions combined (per-operator upper
+    /// median, robust to outlier intervals) before a scaling command is
+    /// issued. `1` applies each decision immediately.
     pub activation_intervals: u32,
-    /// How pending decisions are combined when `activation_intervals > 1`.
-    pub activation_combine: ActivationCombine,
     /// Maximum allowed shortfall of achieved vs. target source rate, as a
     /// fraction in `(0, 1]`. With `1.0` the achieved rate must match the
-    /// target exactly (up to `ratio_tolerance`); when it does not and the
+    /// target exactly (up to a 2% noise slack); when it does not and the
     /// policy sees no further scaling need, the manager boosts requirements
     /// by `target/achieved` — compensating for uncaptured overheads.
     pub target_rate_ratio: f64,
-    /// Slack applied to `target_rate_ratio` comparisons (default 2%), absorbing
-    /// measurement noise.
-    pub ratio_tolerance: f64,
     /// Per-operator parallelism changes up to this magnitude are ignored
     /// *while the job keeps up with its target rate* (noise suppression,
     /// §4.2.2). Changes are never suppressed when the target is missed.
@@ -65,11 +72,6 @@ pub struct ManagerConfig {
     /// Hard cap on the number of scaling actions; `None` for unlimited.
     /// §4.2.3 relies on this to guarantee convergence under skew.
     pub max_decisions: Option<u32>,
-    /// Roll back to the previous configuration if the achieved source-rate
-    /// ratio degrades by more than `degradation_tolerance` after a deploy.
-    pub rollback_on_degradation: bool,
-    /// Fractional degradation of the achieved ratio that triggers rollback.
-    pub degradation_tolerance: f64,
     /// Intervals the rolled-back-from plan stays suppressed after a
     /// rollback. The ban must expire: when a rollback was actually caused
     /// by an exogenous load change (a spike arriving mid-deploy), the
@@ -79,11 +81,6 @@ pub struct ManagerConfig {
     /// *stable* load is retried ever more rarely instead of cycling
     /// redeploy/degrade/rollback at a fixed cadence.
     pub rollback_ban_intervals: u32,
-    /// Fractional change of the measured offered rate beyond which the
-    /// pre/post-deploy ratio comparison is considered meaningless and the
-    /// rollback check is skipped (the degradation is explained by the load,
-    /// not the deploy).
-    pub rollback_load_shift_tolerance: f64,
     /// Per-instance state budget in bytes, the state axis of the resource
     /// model. When finite, operators whose reported state exceeds the
     /// budget get a parallelism *floor* of `ceil(total_state / budget)` —
@@ -93,20 +90,14 @@ pub struct ManagerConfig {
     pub state_budget_per_instance: f64,
     /// Hardening: validate each snapshot against the graph and current
     /// deployment, repairing operators with missing or implausible slots
-    /// from the last fully-valid snapshot. `false` (default) trusts the
-    /// snapshot as-is, which is the paper's clean-instrumentation setting.
+    /// from the last fully-valid snapshot, at most 3 policy intervals old.
+    /// `false` (default) trusts the snapshot as-is, which is the paper's
+    /// clean-instrumentation setting.
     pub validate_snapshots: bool,
-    /// Maximum age, in policy intervals, of the last-good snapshot used for
-    /// repairs when `validate_snapshots` is on. Beyond this window a broken
-    /// operator stays broken and the policy defers on it instead.
-    pub max_stale_windows: u32,
     /// Hardening: replace per-instance samples whose true processing rate is
-    /// further than `outlier_factor`× from the operator median with the
-    /// median instance's sample (stragglers, noisy counters).
+    /// further than 3× from the operator median with the median instance's
+    /// sample (stragglers, noisy counters).
     pub outlier_rejection: bool,
-    /// Multiplicative distance from the per-operator median rate beyond
-    /// which an instance sample counts as an outlier.
-    pub outlier_factor: f64,
     /// Hardening: policy intervals to wait for a deploy acknowledgement
     /// before verifying the live deployment and re-issuing the rescale.
     /// `0` (default) waits forever — the vanilla manager's behaviour, which
@@ -126,20 +117,13 @@ impl Default for ManagerConfig {
             policy_interval_ns: 10_000_000_000, // 10 s, the Flink setting in §5.3
             warmup_intervals: 0,
             activation_intervals: 1,
-            activation_combine: ActivationCombine::Median,
             target_rate_ratio: 1.0,
-            ratio_tolerance: 0.02,
             min_change: 2,
             max_decisions: None,
-            rollback_on_degradation: true,
-            degradation_tolerance: 0.1,
             rollback_ban_intervals: 3,
-            rollback_load_shift_tolerance: 0.1,
             state_budget_per_instance: f64::INFINITY,
             validate_snapshots: false,
-            max_stale_windows: 3,
             outlier_rejection: false,
-            outlier_factor: 3.0,
             rescale_timeout_intervals: 0,
             max_rescale_retries: 3,
             policy: PolicyConfig::default(),
@@ -346,7 +330,9 @@ impl ScalingManager {
         any
     }
 
-    /// Combines pending decisions per `activation_combine`.
+    /// Combines pending decisions per operator by their upper median: for
+    /// an even count it prefers the larger value, erring towards keeping up
+    /// rather than under-provisioning.
     ///
     /// # Errors
     ///
@@ -361,17 +347,11 @@ impl ScalingManager {
             values.clear();
             values.extend(self.pending.iter().map(|d| d.parallelism(op)));
             values.sort_unstable();
-            let v = match (self.config.activation_combine, values.last()) {
-                (ActivationCombine::Max, Some(&max)) => max,
-                // Upper median: for an even count prefer the larger value,
-                // erring towards keeping up rather than under-provisioning.
-                (ActivationCombine::Median, Some(_)) => values[values.len() / 2],
-                (_, None) => {
-                    error = Some(Ds2Error::InvalidMetrics(format!(
-                        "no pending decisions to combine for {op}"
-                    )));
-                    break;
-                }
+            let Some(&v) = values.get(values.len() / 2) else {
+                error = Some(Ds2Error::InvalidMetrics(format!(
+                    "no pending decisions to combine for {op}"
+                )));
+                break;
             };
             combined.set(op, v);
         }
@@ -417,8 +397,8 @@ impl ScalingManager {
             let mut invalid = 0usize;
             let mut repaired_any = false;
             let total = self.graph.len();
-            let fresh_enough = self.last_good_age != u32::MAX
-                && self.last_good_age <= self.config.max_stale_windows;
+            let fresh_enough =
+                self.last_good_age != u32::MAX && self.last_good_age <= MAX_STALE_WINDOWS;
             for op in self.graph.operators() {
                 let p = current.parallelism(op);
                 if Self::slot_ok(buf, &self.graph, op, p) {
@@ -466,12 +446,11 @@ impl ScalingManager {
     }
 
     /// Replaces instance samples whose true processing rate is further than
-    /// `outlier_factor`× from the operator median with the median instance's
+    /// [`OUTLIER_FACTOR`]× from the operator median with the median instance's
     /// sample. This extends the §4.2.1 median idea from the activation axis
     /// to the instance axis: one straggler with inflated useful time (or a
     /// noisy counter) otherwise drags the whole aggregate capacity estimate.
     fn reject_outliers(&mut self, buf: &mut MetricsSnapshot) {
-        let factor = self.config.outlier_factor.max(1.0);
         let mut scratch = std::mem::take(&mut self.rate_scratch);
         for op in self.graph.operators() {
             let Some(m) = buf.operator_mut(op) else {
@@ -496,7 +475,7 @@ impl ScalingManager {
             let (median_rate, median_idx) = scratch[scratch.len() / 2];
             let median_sample = m.instances[median_idx];
             for &(r, k) in scratch.iter() {
-                if r > median_rate * factor || r * factor < median_rate {
+                if r > median_rate * OUTLIER_FACTOR || r * OUTLIER_FACTOR < median_rate {
                     m.instances[k] = median_sample;
                     self.fault_stats.outliers_rejected += 1;
                 }
@@ -767,54 +746,52 @@ impl ScalingManager {
         // measurement: a rate change between the two windows explains the
         // degradation exogenously, and rolling back would punish a correct
         // plan.
-        if self.config.rollback_on_degradation {
-            let load_shifted = match &self.pre_deploy_offered {
-                Some(before) if have_offered => self.graph.sources().iter().any(|&src| {
-                    match (before.get(src), self.offered_scratch.get(src)) {
-                        (Some(&b), Some(&n)) => {
-                            (n - b).abs() > self.config.rollback_load_shift_tolerance * b.max(1e-9)
-                        }
-                        // A source appearing or vanishing from the metrics
-                        // is itself a load shift.
-                        (b, n) => b.is_some() != n.is_some(),
+        let load_shifted = match &self.pre_deploy_offered {
+            Some(before) if have_offered => self.graph.sources().iter().any(|&src| {
+                match (before.get(src), self.offered_scratch.get(src)) {
+                    (Some(&b), Some(&n)) => {
+                        (n - b).abs() > ROLLBACK_LOAD_SHIFT_TOLERANCE * b.max(1e-9)
                     }
-                }),
-                _ => false,
-            };
-            if load_shifted {
+                    // A source appearing or vanishing from the metrics
+                    // is itself a load shift.
+                    (b, n) => b.is_some() != n.is_some(),
+                }
+            }),
+            _ => false,
+        };
+        if load_shifted {
+            self.previous_deployment = None;
+            self.pre_deploy_ratio = None;
+            self.pre_deploy_offered = None;
+        } else if let (Some(prev), Some(pre), Some(post)) = (
+            self.previous_deployment.clone(),
+            self.pre_deploy_ratio,
+            achieved_ratio,
+        ) {
+            if post < pre * (1.0 - DEGRADATION_TOLERANCE) && prev != *current {
+                self.history.push(DecisionRecord {
+                    at_ns: now_ns,
+                    plan: Some(prev.clone()),
+                    achieved_ratio,
+                    boost: 1.0,
+                    acted: true,
+                    error: None,
+                });
+                self.rolled_back_from = Some(current.clone());
+                self.consecutive_rollbacks = self.consecutive_rollbacks.saturating_add(1);
+                self.rollback_ban_remaining = self
+                    .config
+                    .rollback_ban_intervals
+                    .saturating_mul(self.consecutive_rollbacks);
+                // The rolled-back plan may have been a boost artefact;
+                // drop the learned correction and re-learn from scratch.
+                self.sticky_boost = 1.0;
                 self.previous_deployment = None;
                 self.pre_deploy_ratio = None;
                 self.pre_deploy_offered = None;
-            } else if let (Some(prev), Some(pre), Some(post)) = (
-                self.previous_deployment.clone(),
-                self.pre_deploy_ratio,
-                achieved_ratio,
-            ) {
-                if post < pre * (1.0 - self.config.degradation_tolerance) && prev != *current {
-                    self.history.push(DecisionRecord {
-                        at_ns: now_ns,
-                        plan: Some(prev.clone()),
-                        achieved_ratio,
-                        boost: 1.0,
-                        acted: true,
-                        error: None,
-                    });
-                    self.rolled_back_from = Some(current.clone());
-                    self.consecutive_rollbacks = self.consecutive_rollbacks.saturating_add(1);
-                    self.rollback_ban_remaining = self
-                        .config
-                        .rollback_ban_intervals
-                        .saturating_mul(self.consecutive_rollbacks);
-                    // The rolled-back plan may have been a boost artefact;
-                    // drop the learned correction and re-learn from scratch.
-                    self.sticky_boost = 1.0;
-                    self.previous_deployment = None;
-                    self.pre_deploy_ratio = None;
-                    self.pre_deploy_offered = None;
-                    self.pending.clear();
-                    self.awaiting_deploy = true;
-                    return ControllerVerdict::Rescale(prev);
-                }
+                self.pending.clear();
+                self.awaiting_deploy = true;
+                return ControllerVerdict::Rescale(prev);
             }
         }
         // A deploy that did not degrade performance clears rollback state
@@ -853,7 +830,7 @@ impl ScalingManager {
         // capacity. Estimate the extra resources from the achieved/target
         // ratio, on top of what previous corrections already learned.
         if let Some(ratio) = achieved_ratio {
-            let threshold = self.config.target_rate_ratio - self.config.ratio_tolerance;
+            let threshold = self.config.target_rate_ratio - RATIO_TOLERANCE;
             let no_increase = {
                 let plan = &self.workspace.output().plan;
                 self.graph
@@ -893,8 +870,8 @@ impl ScalingManager {
             self.pending.remove(0);
         }
 
-        let keeping_up = achieved_ratio
-            .is_some_and(|r| r >= self.config.target_rate_ratio - self.config.ratio_tolerance);
+        let keeping_up =
+            achieved_ratio.is_some_and(|r| r >= self.config.target_rate_ratio - RATIO_TOLERANCE);
 
         let mut acted = false;
         let mut verdict = ControllerVerdict::NoAction;
@@ -1082,44 +1059,51 @@ mod tests {
 
     #[test]
     fn suppresses_minor_change_when_keeping_up() {
-        let (g, s, f, c) = wordcount();
-        let mut mgr = ScalingManager::new(
-            g,
-            ManagerConfig {
-                min_change: 2,
-                ..Default::default()
-            },
-        );
-        // Current deployment: 5 flat_map (optimal 4), achieving full rate.
-        let mut current = Deployment::uniform(&mgr.graph, 1);
-        current.set(f, 5);
-        current.set(c, 8);
-        let snap = snapshot((s, f, c), &current, 1.0);
-        let v = mgr.on_metrics(0, &snap, &current);
-        assert!(
-            !v.is_rescale(),
-            "a -1 change while keeping up must be suppressed"
-        );
+        // Full rate, and 0.985 — inside the 2% ratio slack, so the job
+        // still counts as keeping up.
+        for achieved in [1.0, 0.985] {
+            let (g, s, f, c) = wordcount();
+            let mut mgr = ScalingManager::new(
+                g,
+                ManagerConfig {
+                    min_change: 2,
+                    ..Default::default()
+                },
+            );
+            // Current deployment: 5 flat_map (optimal 4).
+            let mut current = Deployment::uniform(&mgr.graph, 1);
+            current.set(f, 5);
+            current.set(c, 8);
+            let snap = snapshot((s, f, c), &current, achieved);
+            let v = mgr.on_metrics(0, &snap, &current);
+            assert!(
+                !v.is_rescale(),
+                "a -1 change while keeping up ({achieved}) must be suppressed"
+            );
+        }
     }
 
     #[test]
     fn applies_minor_change_when_missing_target() {
-        let (g, s, f, c) = wordcount();
-        let mut mgr = ScalingManager::new(
-            g,
-            ManagerConfig {
-                min_change: 2,
-                ..Default::default()
-            },
-        );
-        // 3 flat_map instances (need 4), 7 count (need 8): deltas of 1.
-        let mut current = Deployment::uniform(&mgr.graph, 1);
-        current.set(f, 3);
-        current.set(c, 7);
-        let snap = snapshot((s, f, c), &current, 0.75);
-        let v = mgr.on_metrics(0, &snap, &current);
-        let plan = v.rescale().expect("must act when target is missed");
-        assert_eq!(plan.parallelism(f), 4);
+        // 0.975 lies just outside the 2% ratio slack: the target is missed.
+        for achieved in [0.75, 0.975] {
+            let (g, s, f, c) = wordcount();
+            let mut mgr = ScalingManager::new(
+                g,
+                ManagerConfig {
+                    min_change: 2,
+                    ..Default::default()
+                },
+            );
+            // 3 flat_map instances (need 4), 7 count (need 8): deltas of 1.
+            let mut current = Deployment::uniform(&mgr.graph, 1);
+            current.set(f, 3);
+            current.set(c, 7);
+            let snap = snapshot((s, f, c), &current, achieved);
+            let v = mgr.on_metrics(0, &snap, &current);
+            let plan = v.rescale().expect("must act when target is missed");
+            assert_eq!(plan.parallelism(f), 4, "achieved {achieved}");
+        }
     }
 
     #[test]
@@ -1201,25 +1185,39 @@ mod tests {
 
     #[test]
     fn rollback_on_degradation() {
-        let (g, s, f, c) = wordcount();
-        let mut mgr = ScalingManager::new(
-            g,
-            ManagerConfig {
-                rollback_on_degradation: true,
-                degradation_tolerance: 0.1,
-                min_change: 0,
-                ..Default::default()
-            },
-        );
-        let current = Deployment::uniform(&mgr.graph, 1);
-        let snap = snapshot((s, f, c), &current, 0.5);
-        let v = mgr.on_metrics(0, &snap, &current);
-        let plan = v.rescale().unwrap().clone();
-        mgr.on_deployed(1, &plan);
-        // After the deploy, achieved collapses to 20%: roll back.
-        let snap2 = snapshot((s, f, c), &plan, 0.2);
-        let v2 = mgr.on_metrics(2, &snap2, &plan);
-        assert_eq!(v2.rescale(), Some(&current));
+        // Post-deploy offered rate vs the pre-deploy 400/s, and whether the
+        // collapse is still blamed on the deploy: a shift of more than 10%
+        // explains it exogenously and skips the rollback.
+        for (offered, rolls_back) in [
+            (400.0, true),
+            (436.0, true),
+            (364.0, true),
+            (444.0, false),
+            (356.0, false),
+        ] {
+            let (g, s, f, c) = wordcount();
+            let mut mgr = ScalingManager::new(
+                g,
+                ManagerConfig {
+                    min_change: 0,
+                    ..Default::default()
+                },
+            );
+            let current = Deployment::uniform(&mgr.graph, 1);
+            let snap = snapshot((s, f, c), &current, 0.5);
+            let v = mgr.on_metrics(0, &snap, &current);
+            let plan = v.rescale().unwrap().clone();
+            mgr.on_deployed(1, &plan);
+            // After the deploy, achieved collapses to 20%.
+            let mut snap2 = snapshot((s, f, c), &plan, 0.2);
+            snap2.set_source_rate(s, offered);
+            let v2 = mgr.on_metrics(2, &snap2, &plan);
+            assert_eq!(
+                v2.rescale() == Some(&current),
+                rolls_back,
+                "offered {offered}: {v2:?}"
+            );
+        }
     }
 
     #[test]
@@ -1416,6 +1414,21 @@ mod tests {
         assert!(last.plan.is_some(), "repaired window must evaluate");
         assert!(last.error.is_none());
         assert_eq!(mgr.fault_stats().repaired_windows, 1);
+        // The last-good snapshot serves repairs while it is at most 3
+        // windows old: windows 2–4 still repair (age 1..=3)…
+        for t in 2..=4 {
+            assert!(!mgr.on_metrics(t, &broken, &current).is_rescale());
+            let last = mgr.history().last().unwrap();
+            assert!(last.plan.is_some(), "window {t} must repair");
+            assert!(last.error.is_none());
+        }
+        assert_eq!(mgr.fault_stats().repaired_windows, 4);
+        // …and at age 4 it is too stale: the broken operator defers.
+        assert!(!mgr.on_metrics(5, &broken, &current).is_rescale());
+        let last = mgr.history().last().unwrap();
+        assert!(last.plan.is_none(), "stale last-good must not repair");
+        assert!(last.error.is_some());
+        assert_eq!(mgr.fault_stats().repaired_windows, 4);
     }
 
     #[test]

@@ -30,10 +30,10 @@ use ds2_core::deployment::Deployment;
 use ds2_core::error::Ds2Error;
 use ds2_core::graph::OperatorId;
 use ds2_core::snapshot::MetricsSnapshot;
-use ds2_metrics::counters::{CounterTotals, SharedCounters};
 
 use crate::chaos::{ChaosAction, ChaosRuntime, InstanceChaos};
 use crate::checkpoint::{partition_state, CheckpointStats, CheckpointStore};
+use crate::counters::{CounterTotals, SharedCounters};
 use crate::job::{JobSpec, KeyFn};
 use crate::logic::{Logic, StateEntry};
 use crate::supervisor::{self, RestartDecision, Supervisor, SupervisorEvent, WorkerCmd};

@@ -18,6 +18,8 @@
 //! stragglers to prove it — the live counterpart of the simulator's fault
 //! model.
 //!
+//! * [`counters`] — the lock-free per-instance §4.1 counters (records
+//!   in/out, useful time, input/output wait) every instance updates;
 //! * [`logic`] — the operator `Logic` trait plus adapters;
 //! * [`job`] — job specification (graph + code + rates);
 //! * [`engine`] — deployment, execution, rescaling, metrics collection;
@@ -33,6 +35,7 @@
 pub mod chaos;
 pub mod checkpoint;
 pub mod control;
+pub mod counters;
 pub mod engine;
 pub mod job;
 pub mod logic;

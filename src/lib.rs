@@ -10,14 +10,12 @@
 //!
 //! * [`core`](ds2_core) — the DS2 model and controller: true rates, the
 //!   Eq. 7–8 policy, and the Scaling Manager;
-//! * [`metrics`](ds2_metrics) — §4.1 instrumentation: counters, the
-//!   `MetricsManager`, Timely-style traces, the metrics repository;
 //! * [`simulator`](ds2_simulator) — a deterministic fluid queueing
 //!   simulation of the Flink / Heron / Timely execution models;
 //! * [`nexmark`](ds2_nexmark) — the Nexmark workload: generator, the six
 //!   evaluated queries, calibrated simulator profiles;
 //! * [`runtime`](ds2_runtime) — a real threaded mini streaming engine under
-//!   live DS2 control;
+//!   live DS2 control, including the §4.1 per-instance counters;
 //! * [`baselines`](ds2_baselines) — Dhalion-style, threshold, and
 //!   queueing-theory controllers.
 //!
@@ -67,7 +65,6 @@
 
 pub use ds2_baselines as baselines;
 pub use ds2_core as core;
-pub use ds2_metrics as metrics;
 pub use ds2_nexmark as nexmark;
 pub use ds2_runtime as runtime;
 pub use ds2_simulator as simulator;
@@ -76,7 +73,6 @@ pub use ds2_simulator as simulator;
 pub mod prelude {
     pub use ds2_baselines::{DhalionController, QueueingController, ThresholdController};
     pub use ds2_core::prelude::*;
-    pub use ds2_metrics::{MetricsManager, MetricsRepository, SharedCounters};
     pub use ds2_nexmark::{EventGenerator, QueryId, Target};
     pub use ds2_simulator::{
         ClosedLoop, EngineConfig, EngineMode, FluidEngine, HarnessConfig, OperatorProfile,
