@@ -1,6 +1,7 @@
-//! Runs the runtime data-plane throughput baseline and prints the rows
-//! (records/s single-op and 3-op keyed chain under live DS2 control, plus
-//! the worst rescale pause).
+//! Runs the runtime data-plane baseline and prints the rows: saturated
+//! records/s through a single operator and through the 3-op keyed chain
+//! (unthrottled source, no controller), and the same chain rate-limited
+//! under live DS2 control with its worst rescale pause.
 //!
 //! Usage: `runtime_pipeline [--duration-s N] [--bench-json PATH]`
 //!
@@ -10,12 +11,14 @@
 //!                     format (the committed BENCH_runtime_pipeline.json)
 //! ```
 //!
-//! The table goes to stdout; progress goes to stderr.
+//! The table goes to stdout; progress goes to stderr. Exits 1 when the
+//! live row misses its check (rate held within 2%, one rescale, a
+//! measured pause).
 
 use std::time::{Duration, Instant};
 
 use ds2_bench::output::{fmt_rate, render_table};
-use ds2_bench::runtime_pipeline::{run_single_op, run_three_op_keyed, to_bench_json};
+use ds2_bench::runtime_pipeline::{check_live, run_saturated, run_three_op_keyed, to_bench_json};
 
 fn usage_exit(msg: &str) -> ! {
     eprintln!("{msg}");
@@ -42,11 +45,12 @@ fn main() {
     }
 
     let t0 = Instant::now();
-    eprintln!("runtime_pipeline: single_op ({duration:?})...");
-    let single = run_single_op(duration);
+    eprintln!("runtime_pipeline: single_op + three_op_saturated ({duration:?} each)...");
+    let [single, saturated] = run_saturated(duration);
     eprintln!("runtime_pipeline: three_op_keyed ({duration:?})...");
-    let three = run_three_op_keyed(duration);
-    let results = [single, three];
+    let live = run_three_op_keyed(duration);
+    let verdict = check_live(&live);
+    let results = [single, saturated, live];
 
     let rows: Vec<Vec<String>> = results
         .iter()
@@ -81,4 +85,8 @@ fn main() {
         eprintln!("runtime_pipeline: wrote {path}");
     }
     eprintln!("runtime_pipeline: done in {:?}", t0.elapsed());
+    if let Err(e) = verdict {
+        eprintln!("runtime_pipeline: CHECK FAILED: {e}");
+        std::process::exit(1);
+    }
 }

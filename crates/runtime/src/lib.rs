@@ -39,6 +39,7 @@ pub mod counters;
 pub mod engine;
 pub mod job;
 pub mod logic;
+mod pace;
 pub mod supervisor;
 
 pub use chaos::{ChaosAction, ChaosEvent, ChaosSpec};

@@ -2,6 +2,8 @@
 
 use std::any::Any;
 
+use crate::pace::Pacer;
+
 /// A clonable, type-erased keyed state value.
 ///
 /// Implemented automatically for every `Clone + Send + 'static` type, so
@@ -118,10 +120,14 @@ impl<R: Send + 'static, F: FnMut(R, &mut Vec<R>) + Send + 'static> Logic<R> for 
 /// By default the cost is slept, not spun: the instrumentation measures the
 /// same elapsed processing time either way, but sleeping keeps emulated
 /// instances from inflating each other's costs through CPU contention when
-/// many run on few cores. Use [`CostedLogic::busy`] to burn real CPU.
+/// many run on few cores. The sleep is deadline-accurate (it yields the
+/// last few tens of µs instead of paying the kernel's timer slack), so the
+/// measured cost is the configured one. Use [`CostedLogic::busy`] to burn
+/// real CPU.
 pub struct CostedLogic<R, F: FnMut(R, &mut Vec<R>) + Send + 'static> {
     cost: std::time::Duration,
     spin: bool,
+    pacer: Pacer,
     inner: FnLogic<R, F>,
 }
 
@@ -131,6 +137,7 @@ impl<R, F: FnMut(R, &mut Vec<R>) + Send + 'static> CostedLogic<R, F> {
         Self {
             cost,
             spin: false,
+            pacer: Pacer::default(),
             inner: FnLogic::new(f),
         }
     }
@@ -140,6 +147,7 @@ impl<R, F: FnMut(R, &mut Vec<R>) + Send + 'static> CostedLogic<R, F> {
         Self {
             cost,
             spin: true,
+            pacer: Pacer::default(),
             inner: FnLogic::new(f),
         }
     }
@@ -147,13 +155,13 @@ impl<R, F: FnMut(R, &mut Vec<R>) + Send + 'static> CostedLogic<R, F> {
 
 impl<R: Send + 'static, F: FnMut(R, &mut Vec<R>) + Send + 'static> Logic<R> for CostedLogic<R, F> {
     fn process(&mut self, record: R, out: &mut Vec<R>) {
+        let start = std::time::Instant::now();
         if self.spin {
-            let start = std::time::Instant::now();
             while start.elapsed() < self.cost {
                 std::hint::spin_loop();
             }
         } else {
-            std::thread::sleep(self.cost);
+            self.pacer.sleep_until(start + self.cost);
         }
         self.inner.process(record, out);
     }
@@ -246,5 +254,30 @@ mod tests {
         l.process(1, &mut out);
         assert!(t0.elapsed() >= std::time::Duration::from_millis(5));
         assert_eq!(out, vec![1]);
+    }
+
+    /// The slept cost is the configured one: the median record of a 2 ms
+    /// `CostedLogic` takes 2 ms within 2%, not 2 ms plus a timer slack.
+    #[test]
+    fn costed_logic_median_cost_matches_configuration() {
+        let cost = std::time::Duration::from_millis(2);
+        let mut l = CostedLogic::new(cost, |r: u64, out: &mut Vec<u64>| out.push(r));
+        let mut out = Vec::new();
+        let mut took: Vec<f64> = (0..60)
+            .map(|r| {
+                let t0 = std::time::Instant::now();
+                l.process(r, &mut out);
+                t0.elapsed().as_secs_f64()
+            })
+            .collect();
+        took.sort_by(f64::total_cmp);
+        let p50 = took[took.len() / 2];
+        let err = p50 / cost.as_secs_f64() - 1.0;
+        assert!(
+            (0.0..0.02).contains(&err),
+            "median per-record cost {:.1} µs",
+            p50 * 1e6
+        );
+        assert_eq!(out.len(), 60);
     }
 }
